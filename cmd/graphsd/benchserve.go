@@ -74,8 +74,8 @@ func cmdBenchServe(args []string) error {
 		return fmt.Errorf("bench-serve: %w", err)
 	}
 
-	fmt.Printf("bench-serve: %d jobs in %.1fs = %.1f jobs/s, p50=%.1fms p99=%.1fms, %d mutation batches, %d rejected, %d errors\n",
-		rep.Jobs, rep.DurationS, rep.JobsPS, rep.P50ms, rep.P99ms, rep.Mutates, rep.Rejected, rep.Errors)
+	fmt.Printf("bench-serve: %d jobs in %.1fs = %.1f jobs/s (+%d drained in %.1fs), p50=%.1fms p99=%.1fms, %d mutation batches, %d rejected, %d errors\n",
+		rep.Jobs, rep.DurationS, rep.JobsPS, rep.DrainedJobs, rep.DrainS, rep.P50ms, rep.P99ms, rep.Mutates, rep.Rejected, rep.Errors)
 	for _, t := range rep.Tenants {
 		fmt.Printf("  tenant %-12s %6d jobs (share %.2f) %.1f jobs/s p50=%.1fms p99=%.1fms rejected=%d errors=%d\n",
 			t.Name, t.Jobs, t.Share, t.JobsPS, t.P50ms, t.P99ms, t.Rejected, t.Errors)

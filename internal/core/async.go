@@ -130,7 +130,6 @@ type asyncRun struct {
 	blocks   int64 // sub-blocks processed
 	reacts   int64 // consumed vertices re-entering the frontier
 	selSteps int   // steps that took the selective path
-	fallback int   // pipelined blocks re-loaded synchronously after a degrade
 }
 
 // runAsync executes the engine asynchronously. It mirrors run()'s setup and
@@ -268,7 +267,6 @@ func (e *Engine) runAsync() (*Result, error) {
 	if a.h.Len() == 0 {
 		converged = true
 	}
-	e.plStats.Fallbacks += a.fallback
 
 	outputs := make([]float64, e.n)
 	tOut := time.Now()
@@ -472,50 +470,31 @@ func (a *asyncRun) processRow(i int) (string, error) {
 }
 
 // scatterRowStreamed processes row i by streaming its non-empty sub-blocks
-// whole, prefetched through the I/O pipeline (transient faults degrade the
-// rest of the row to synchronous loads, as in the BSP passes). Each block
-// is scattered and applied before the next is consumed.
+// whole through a block source (prefetched, degrading to synchronous loads
+// on a transient fault, as in the BSP passes). Each block is scattered and
+// applied before the next is consumed.
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
 	cols := a.rowBlocks[i]
 	if len(a.frontList) == 0 {
 		return 0, nil
 	}
-	reqs := make([]pipeline.Request, 0, len(cols))
+	plan := make([]pipeline.Request, 0, len(cols))
 	for _, j := range cols {
-		reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
+		plan = append(plan, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 	}
-	pf := e.newBlockPrefetcher(reqs)
-	if pf != nil {
-		defer e.finishPrefetch(pf)
-	}
-	degraded := false
+	src := newBlockSource(e, plan, e.loadBlock)
+	defer src.close()
 	var applied int64
-	for _, req := range reqs {
+	for _, j := range cols {
 		if err := e.checkCtx(); err != nil {
 			return applied, err
 		}
-		var edges []graph.Edge
-		var err error
-		if pf != nil && !degraded {
-			_, edges, err = pf.NextCtx(e.ctx)
-			if err != nil {
-				if !storage.IsTransient(err) {
-					return applied, err
-				}
-				degraded = true
-			}
+		edges, err := src.get(i, j)
+		if err != nil {
+			return applied, err
 		}
-		if pf == nil || degraded {
-			if degraded {
-				a.fallback++
-			}
-			edges, err = e.loadBlock(req.I, req.J)
-			if err != nil {
-				return applied, err
-			}
-		}
-		applied += a.scatterApplyBlock(edges, req.J)
+		applied += a.scatterApplyBlock(edges, j)
 	}
 	return applied, nil
 }
@@ -533,12 +512,6 @@ func (a *asyncRun) scatterRowSelective(i, lo int) (int64, error) {
 	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
 
 	var applied int64
-	bufp, _ := e.ioBufs.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
-	defer e.ioBufs.Put(bufp)
-	var edges []graph.Edge
 	for _, j := range a.rowBlocks[i] {
 		if err := e.checkCtx(); err != nil {
 			return applied, err
@@ -547,31 +520,11 @@ func (a *asyncRun) scatterRowSelective(i, lo int) (int64, error) {
 		if err != nil {
 			return applied, err
 		}
-		r, err := e.layout.OpenSubBlock(i, j)
+		blk, err := e.loadSelective(i, j, idx, a.frontier)
 		if err != nil {
 			return applied, err
 		}
-		edges = edges[:0]
-		var loopErr error
-		for _, v := range a.frontList {
-			var runEdges []graph.Edge
-			runEdges, *bufp, loopErr = e.layout.ReadVertexEdges(r, idx, i, graph.VertexID(v), *bufp)
-			if loopErr != nil {
-				break
-			}
-			edges = append(edges, runEdges...)
-		}
-		var closeErr error
-		if r != nil { // nil reader: the block lives entirely in the overlay
-			closeErr = r.Close()
-		}
-		if loopErr != nil {
-			return applied, fmt.Errorf("core: async interval %d sub-block %d: %w", i, j, loopErr)
-		}
-		if closeErr != nil {
-			return applied, closeErr
-		}
-		applied += a.scatterApplyBlock(edges, j)
+		applied += a.scatterApplyBlock(blk.edges, j)
 	}
 	return applied, nil
 }

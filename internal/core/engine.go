@@ -70,8 +70,9 @@ type Engine struct {
 	// of the two-phase parallel scatter.
 	scatterBufs [][]contrib
 
-	// ioBufs pools the raw byte buffers the pipeline's fetch workers read
-	// sub-blocks through; decoded edge slices are freshly allocated because
+	// ioBufs pools the raw byte buffers (*[]byte) that loadBlock and
+	// loadSelective read sub-blocks through, on pipeline workers and
+	// synchronously alike; decoded edge slices are freshly allocated because
 	// they may be retained (priority buffer, FCIU diagonal).
 	ioBufs sync.Pool
 
@@ -165,6 +166,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		indexCache:   make(map[buffer.Key]*partition.Index),
 	}
 	e.buf = buffer.NewWithPolicy(bufBytes, opts.BufferPolicy)
+	e.ioBufs.New = func() any { return new([]byte) }
 	if prog.HasAux() {
 		e.aux = make([]float64, n)
 	}
@@ -681,81 +683,6 @@ func clampedActiveEdgeEstimate(edges []graph.Edge, set *bitset.ActiveSet, meta *
 		}
 	}
 	return est
-}
-
-// fetchSubBlock loads and decodes one sub-block for the I/O pipeline. It
-// runs on pipeline worker goroutines: the raw read buffer is pooled, the
-// decoded slice freshly allocated because consumers may retain it. With a
-// shared cache configured the load routes through it, so concurrent jobs'
-// pipelines deduplicate device reads of the same block.
-func (e *Engine) fetchSubBlock(r pipeline.Request) ([]graph.Edge, error) {
-	if e.opts.SharedBlocks != nil {
-		return e.loadBlock(r.I, r.J)
-	}
-	bufp, _ := e.ioBufs.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
-	edges, buf, err := e.layout.LoadSubBlockInto(r.I, r.J, nil, *bufp)
-	*bufp = buf
-	e.ioBufs.Put(bufp)
-	return edges, err
-}
-
-// loadBlock loads the full decoded sub-block (i, j), consulting the
-// cross-job shared cache first when one is configured. Safe on pipeline
-// worker goroutines. The returned slice may be shared with other jobs and
-// must not be mutated (the engine only reads edges).
-func (e *Engine) loadBlock(i, j int) ([]graph.Edge, error) {
-	sc := e.opts.SharedBlocks
-	if sc == nil {
-		return e.layout.LoadSubBlock(i, j)
-	}
-	if sc.Compressed() {
-		return e.loadBlockCompressed(sc, i, j)
-	}
-	edges, hit, err := sc.GetOrLoad(buffer.Key{I: i, J: j, Gen: e.layout.BlockVersion(i, j)}, func() ([]graph.Edge, int64, error) {
-		bufp, _ := e.ioBufs.Get().(*[]byte)
-		if bufp == nil {
-			bufp = new([]byte)
-		}
-		edges, buf, err := e.layout.LoadSubBlockInto(i, j, nil, *bufp)
-		*bufp = buf
-		e.ioBufs.Put(bufp)
-		return edges, e.layout.Meta.SubBlockBytes(i, j), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		e.sharedHits.Add(1)
-	} else {
-		e.sharedMisses.Add(1)
-	}
-	return edges, nil
-}
-
-// newBlockPrefetcher starts an I/O pipeline over reqs, or returns nil when
-// prefetching is disabled or the sequence is too short to overlap anything.
-func (e *Engine) newBlockPrefetcher(reqs []pipeline.Request) *pipeline.Prefetcher[[]graph.Edge] {
-	if !e.opts.prefetchEnabled() || len(reqs) < 2 {
-		return nil
-	}
-	return pipeline.New(reqs, e.fetchSubBlock, e.opts.prefetchOptions())
-}
-
-// prefetchHandle is the slice-type-independent part of a Prefetcher that
-// pass drivers hand back for stats aggregation.
-type prefetchHandle interface {
-	Close()
-	Stats() pipeline.Stats
-}
-
-// finishPrefetch shuts a pass's pipeline down and folds its outcomes into
-// the run totals. Callers must guard against nil prefetchers.
-func (e *Engine) finishPrefetch(pf prefetchHandle) {
-	pf.Close()
-	e.plStats = e.plStats.Add(pf.Stats())
 }
 
 // chargeIndexAccess charges the per-iteration modelled cost of consulting

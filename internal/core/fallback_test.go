@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
+	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/core"
+	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
@@ -16,8 +18,8 @@ import (
 // transient fault, the pass degrades and every consumed request from the
 // failing one onward — including the failing request itself — is loaded
 // synchronously and counted exactly once. These tests pin the counts for a
-// degradation on the very first request of a pass and mid-pass, on both the
-// FCIU/full and SCIU consumption paths.
+// degradation on the very first request of a pass and mid-pass, on the
+// FCIU/full, SCIU and async streamed consumption paths.
 
 // nonEmptyColumnMajor returns the non-empty grid cells in FCIU/full
 // consumption order (j outer, i inner) — the pass's prefetch request list
@@ -154,6 +156,77 @@ func TestSCIUFallbackCountsExact(t *testing.T) {
 							res.Pipeline.Fallbacks, want, tc.failIdx, len(cells))
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestAsyncStreamedFallbackCountsExact pins the count on the async engine's
+// streamed path. Each scheduler step plans its row's non-empty cells in
+// column order; the injector fails the first full read of one cell of row
+// 0, so the step that first streams row 0 degrades at that cell's position
+// and falls back for it and every later cell of the row. Selective steps
+// read through "readat" and never trip the injector.
+func TestAsyncStreamedFallbackCountsExact(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		failIdx int // index into row 0's non-empty cells
+	}{
+		{"first-request", 0},
+		{"mid-row", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := faultLayout(t)
+			var row []int
+			for j := 0; j < l.Meta.P; j++ {
+				if l.Meta.SubBlockEdges(0, j) > 0 {
+					row = append(row, j)
+				}
+			}
+			if len(row) <= tc.failIdx+1 {
+				t.Fatalf("row 0 too sparse: %d non-empty cells", len(row))
+			}
+			failOnce(l, "read", partition.SubBlockName(0, row[tc.failIdx]))
+
+			res, err := core.Run(l, &algorithms.PageRankDelta{Iterations: 20, Tolerance: 1e-6},
+				core.Options{Async: true})
+			if err != nil {
+				t.Fatalf("degraded run failed: %v", err)
+			}
+			want := len(row) - tc.failIdx
+			if res.Pipeline.Fallbacks != want {
+				t.Fatalf("Fallbacks = %d, want exactly %d (degrade at cell %d of row 0's %d)",
+					res.Pipeline.Fallbacks, want, tc.failIdx, len(row))
+			}
+		})
+	}
+}
+
+// TestFullSingleEmptyCellsSkipSharedCache: a full-single pass must not send
+// empty cells through the cross-job shared cache, where each would count a
+// miss and occupy an entry for a block that costs no I/O. A chain over P=4
+// has 7 non-empty cells (4 diagonal, 3 just above it) out of 16.
+func TestFullSingleEmptyCellsSkipSharedCache(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shared func(int64) *buffer.Shared
+	}{
+		{"raw", buffer.NewShared},
+		{"compressed", buffer.NewSharedCompressed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := buildLayout(t, gen.Chain(256), 4)
+			nonEmpty := int64(len(nonEmptyColumnMajor(&l.Meta)))
+			res, err := core.Run(l, &algorithms.PageRank{Iterations: 1}, core.Options{
+				ForceModel:   core.ForceFull,
+				SharedBlocks: tc.shared(l.Meta.EdgeBytesTotal() * 4),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SharedMisses != nonEmpty || res.SharedHits != 0 {
+				t.Fatalf("cold shared cache: %d misses, %d hits; want %d misses (one per non-empty cell), 0 hits",
+					res.SharedMisses, res.SharedHits, nonEmpty)
 			}
 		})
 	}

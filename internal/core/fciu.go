@@ -1,16 +1,13 @@
 package core
 
 import (
-	"context"
-
 	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/pipeline"
-	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // fciuMode selects which grid cells an FCIU/full pass will read from disk,
-// which is exactly the set the pass's I/O pipeline prefetches.
+// which is exactly the pass's cell plan.
 type fciuMode int
 
 const (
@@ -24,42 +21,23 @@ const (
 	fullCells
 )
 
-// fciuPass drives the prefetched consumption of one FCIU or full pass. The
-// request list is built in the exact order the pass consumes sub-blocks, so
-// the consumer only has to check whether the cell it is about to process is
-// the pipeline's next delivery.
-//
-// degraded records that a prefetched block failed with a transient fault:
-// the pipeline has cancelled its remaining admissions, so the rest of the
-// pass falls back to synchronous loads (which carry the device's own retry
-// policy) instead of aborting the run. fallbacks counts the blocks loaded
-// that way.
-type fciuPass struct {
-	pf        *pipeline.Prefetcher[[]graph.Edge]
-	ctx       context.Context
-	reqs      []pipeline.Request
-	next      int
-	degraded  bool
-	fallbacks int
-}
-
-// newFCIUPass snapshots the buffer residency and builds the pass's prefetch
-// sequence: non-empty cells in consumption order, minus cells that will be
-// streamed in chunks, secondary cells expected to hit the buffer, and —
-// under SEM — cells of rows the activity bitmap proves dead, which never
-// enqueue a read at all. (A dead-row upper-triangle cell that the
-// cross-iteration phase turns out to need is loaded synchronously by the
-// consumer.) Residency is only sampled here — the pipeline's fetch workers
-// never touch the buffer, so mid-pass evictions cost a synchronous fallback
-// load in the consumer rather than a data race.
-func (e *Engine) newFCIUPass(mode fciuMode) *fciuPass {
+// fciuSource builds the cell plan of one FCIU or full pass and starts its
+// block source. The plan is the non-empty cells in consumption order, minus
+// cells that will be streamed in chunks, secondary cells expected to hit
+// the buffer, and — under SEM — cells of rows the activity bitmap proves
+// dead, which never enqueue a read at all. (A dead-row cell that the
+// cross-iteration phase turns out to need is an unplanned, synchronous
+// get.) Residency is only sampled here — the pipeline's fetch workers never
+// touch the buffer, so a mid-pass eviction costs an unplanned synchronous
+// load rather than a data race.
+func (e *Engine) fciuSource(mode fciuMode) *blockSource[[]graph.Edge] {
 	resident := make(map[buffer.Key]bool)
 	if mode != fullCells {
 		for _, k := range e.buf.Keys() {
 			resident[k] = true
 		}
 	}
-	var reqs []pipeline.Request
+	var plan []pipeline.Request
 	for j := 0; j < e.p; j++ {
 		iLo := 0
 		if mode == fciuSecondCells {
@@ -78,65 +56,23 @@ func (e *Engine) newFCIUPass(mode fciuMode) *fciuPass {
 			if mode != fullCells && i > j && resident[buffer.Key{I: i, J: j}] {
 				continue
 			}
-			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
+			plan = append(plan, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 		}
 	}
-	return &fciuPass{pf: e.newBlockPrefetcher(reqs), ctx: e.ctx, reqs: reqs}
+	return newBlockSource(e, plan, e.loadBlock)
 }
 
-// take returns the prefetched edges for sub-block (i, j) when it is the
-// pipeline's next delivery; ok is false when (i, j) was not prefetched
-// (pipelining off, cell streamed/empty, expected buffer hit, or the pass has
-// degraded to synchronous loads) and the caller must load synchronously.
-//
-// A transient fetch error does not abort the pass: the failing block and
-// every later one are reported as not-prefetched, so the caller re-reads
-// them synchronously through the device's retry path. Permanent errors are
-// surfaced as-is.
-//
-// fallbacks is incremented in exactly one place, once per consumed request
-// from the degrading one onward — no matter whether the degradation struck
-// the first request of the pass or a later one — so it equals the number of
-// synchronous fallback loads the caller performs for prefetched cells.
-func (p *fciuPass) take(i, j int) (edges []graph.Edge, ok bool, err error) {
-	if p.pf == nil || p.next >= len(p.reqs) || p.reqs[p.next].I != i || p.reqs[p.next].J != j {
-		return nil, false, nil
-	}
-	p.next++
-	if !p.degraded {
-		_, edges, err = p.pf.NextCtx(p.ctx)
-		if err == nil || !storage.IsTransient(err) {
-			return edges, true, err
-		}
-		p.degraded = true
-	}
-	p.fallbacks++
-	return nil, false, nil
-}
-
-// finish shuts the pass's pipeline down (cancelling any in-flight fetches)
-// and folds its stats into the run totals.
-func (e *Engine) finishFCIUPass(p *fciuPass) {
-	if p.pf != nil {
-		e.finishPrefetch(p.pf)
-	}
-	e.plStats.Fallbacks += p.fallbacks
-}
-
-// nextFCIUBlock fetches sub-block (i, j) for an FCIU pass, preferring the
-// prefetch pipeline. Secondary sub-blocks (i > j) consult the priority
-// buffer first and are offered to it after a miss, with priority equal to
-// their current active-edge count — the same contract as the synchronous
-// path, so buffer hit/miss statistics are unchanged by pipelining.
-func (e *Engine) nextFCIUBlock(p *fciuPass, i, j int) ([]graph.Edge, error) {
+// nextFCIUBlock fetches sub-block (i, j) for an FCIU pass from its block
+// source. Secondary sub-blocks (i > j) consult the priority buffer first and
+// are offered to it after a miss, with priority equal to their current
+// active-edge count — the same contract as the synchronous path, so buffer
+// hit/miss statistics are unchanged by pipelining.
+func (e *Engine) nextFCIUBlock(src *blockSource[[]graph.Edge], i, j int) ([]graph.Edge, error) {
 	if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return nil, nil
 	}
 	if i <= j {
-		if edges, ok, err := p.take(i, j); ok {
-			return edges, err
-		}
-		return e.loadBlock(i, j)
+		return src.get(i, j)
 	}
 	k := buffer.Key{I: i, J: j}
 	if e.opts.SEM {
@@ -157,16 +93,9 @@ func (e *Engine) nextFCIUBlock(p *fciuPass, i, j int) ([]graph.Edge, error) {
 	} else if edges, ok := e.buf.Get(k); ok {
 		return edges, nil
 	}
-	edges, ok, err := p.take(i, j)
+	edges, err := src.get(i, j)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		// Expected resident at pass start but evicted since (or pipelining
-		// is off): fall back to a synchronous load.
-		if edges, err = e.loadBlock(i, j); err != nil {
-			return nil, err
-		}
 	}
 	priority := activeEdgeCount(edges, e.active)
 	if e.opts.SEM {
@@ -202,8 +131,8 @@ func (e *Engine) runFCIUFirst() error {
 		return err
 	}
 	e.semBegin()
-	pass := e.newFCIUPass(fciuFirstCells)
-	defer e.finishFCIUPass(pass)
+	src := e.fciuSource(fciuFirstCells)
+	defer src.close()
 
 	for j := 0; j < e.p; j++ {
 		lo, hi := e.layout.Meta.Interval(j)
@@ -251,7 +180,7 @@ func (e *Engine) runFCIUFirst() error {
 				}
 				continue
 			}
-			edges, err := e.nextFCIUBlock(pass, i, j)
+			edges, err := e.nextFCIUBlock(src, i, j)
 			if err != nil {
 				return err
 			}
@@ -278,10 +207,10 @@ func (e *Engine) runFCIUFirst() error {
 		} else if diagDeferred {
 			// Dead-row diagonal: now that interval j is applied its t+1
 			// activations are final. Load only if there is something to
-			// propagate; this rare load is synchronous (the cell was never
-			// enqueued on the pipeline).
+			// propagate; this rare load is an unplanned, synchronous get
+			// (the cell was never enqueued on the pipeline).
 			if e.newActive.CountRange(lo, hi) > 0 {
-				edges, err := e.loadBlock(j, j)
+				edges, err := src.get(j, j)
 				if err != nil {
 					return err
 				}
@@ -325,8 +254,8 @@ func (e *Engine) runFCIUSecond() error {
 		return err
 	}
 	e.semBegin()
-	pass := e.newFCIUPass(fciuSecondCells)
-	defer e.finishFCIUPass(pass)
+	src := e.fciuSource(fciuSecondCells)
+	defer src.close()
 
 	for j := 0; j < e.p; j++ {
 		lo, hi := e.layout.Meta.Interval(j)
@@ -340,7 +269,7 @@ func (e *Engine) runFCIUSecond() error {
 				e.semSkip(i, j)
 				continue
 			}
-			edges, err := e.nextFCIUBlock(pass, i, j)
+			edges, err := e.nextFCIUBlock(src, i, j)
 			if err != nil {
 				return err
 			}
@@ -361,8 +290,8 @@ func (e *Engine) runFullSingle() error {
 		return err
 	}
 	e.semBegin()
-	pass := e.newFCIUPass(fullCells)
-	defer e.finishFCIUPass(pass)
+	src := e.fciuSource(fullCells)
+	defer src.close()
 
 	for j := 0; j < e.p; j++ {
 		lo, hi := e.layout.Meta.Interval(j)
@@ -386,14 +315,9 @@ func (e *Engine) runFullSingle() error {
 				}
 				continue
 			}
-			edges, ok, err := pass.take(i, j)
+			edges, err := src.get(i, j)
 			if err != nil {
 				return err
-			}
-			if !ok {
-				if edges, err = e.loadBlock(i, j); err != nil {
-					return err
-				}
 			}
 			e.scatter(edges, e.valPrev, e.active, e.acc, e.touched, lo, hi)
 		}

@@ -18,7 +18,7 @@ import (
 //   - b1: DisableCrossIteration = true (current-iteration updates only)
 //   - b2/b3: ForceModel = &FullIO (load all sub-blocks every iteration)
 //   - b4: ForceModel = &OnDemandIO (selective loads every iteration)
-//   - "no buffering": BufferBytes = 0 with DisableBufferDefault = true
+//   - "no buffering": BufferBytes = 0 with DefaultBuffer unset
 type Options struct {
 	// MaxIterations overrides the program's iteration bound when positive.
 	MaxIterations int

@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -54,9 +55,10 @@ type Options struct {
 	Tenants []Tenant
 	// Workers is the per-tenant closed-loop worker count (default 2).
 	Workers int
-	// Duration is how long workers keep submitting (default 5s). In-flight
-	// operations run to completion past the deadline so every submitted
-	// job's latency is observed.
+	// Duration is the measurement window: how long workers keep submitting
+	// (default 5s). In-flight operations run to completion past the
+	// deadline so every submitted job's latency is observed, but only
+	// completions seen inside the window count towards jobs/sec and shares.
 	Duration time.Duration
 	// Graph and Algorithms shape the job mix; workers cycle through the
 	// algorithm list with per-worker random sources in [0, NumVertices).
@@ -67,9 +69,11 @@ type Options struct {
 	NumVertices int
 	// MaxIterations caps each submitted job (keeps bench jobs short).
 	MaxIterations int
-	// MutateEvery makes every Nth operation an edge-mutation batch of
-	// MutateBatch inserts instead of a job (0: jobs only). The target
-	// graph must be served mutable.
+	// MutateEvery makes every Nth operation of the run — counted across
+	// all workers, so slow hosts where each worker completes only a few
+	// operations still mutate — an edge-mutation batch of MutateBatch
+	// inserts instead of a job (0: jobs only). The target graph must be
+	// served mutable.
 	MutateEvery int
 	MutateBatch int
 	// PollInterval is the status-poll period while a job runs (default
@@ -81,13 +85,18 @@ type Options struct {
 
 // TenantReport is one tenant's slice of a run.
 type TenantReport struct {
-	Name    string  `json:"name"`
-	Workers int     `json:"workers"`
-	Burst   int     `json:"burst,omitempty"`
+	Name    string `json:"name"`
+	Workers int    `json:"workers"`
+	Burst   int    `json:"burst,omitempty"`
+	// Jobs counts jobs seen done inside the measurement window; Drained
+	// counts those seen done after it, while in-flight work drained.
 	Jobs    int64   `json:"jobs_done"`
+	Drained int64   `json:"drained_jobs"`
 	JobsPS  float64 `json:"jobs_per_sec"`
-	// Share is this tenant's fraction of all completed jobs — the
-	// fairness figure the SLO gate reads.
+	// Share is this tenant's fraction of all jobs completed inside the
+	// window — the fairness figure the SLO gate reads. The drain is
+	// excluded: it replays each worker's backlog with no competing
+	// submissions, which is no test of the scheduler.
 	Share    float64 `json:"share"`
 	P50ms    float64 `json:"p50_ms"`
 	P99ms    float64 `json:"p99_ms"`
@@ -96,16 +105,21 @@ type TenantReport struct {
 	Errors   int64   `json:"errors"`
 }
 
-// Report is the whole run: the BENCH_serve.json schema.
+// Report is the whole run: the BENCH_serve.json schema. Jobs, JobsPS and
+// the shares cover the measurement window (DurationS); the post-deadline
+// drain of in-flight jobs is reported apart (DrainedJobs over DrainS).
+// Latency percentiles cover every completed job, drained ones included.
 type Report struct {
-	DurationS float64 `json:"duration_s"`
-	Jobs      int64   `json:"jobs_done"`
-	JobsPS    float64 `json:"jobs_per_sec"`
-	P50ms     float64 `json:"p50_ms"`
-	P99ms     float64 `json:"p99_ms"`
-	Mutates   int64   `json:"mutation_batches"`
-	Rejected  int64   `json:"rejected_429"`
-	Errors    int64   `json:"errors"`
+	DurationS   float64 `json:"duration_s"`
+	DrainS      float64 `json:"drain_s"`
+	Jobs        int64   `json:"jobs_done"`
+	DrainedJobs int64   `json:"drained_jobs"`
+	JobsPS      float64 `json:"jobs_per_sec"`
+	P50ms       float64 `json:"p50_ms"`
+	P99ms       float64 `json:"p99_ms"`
+	Mutates     int64   `json:"mutation_batches"`
+	Rejected    int64   `json:"rejected_429"`
+	Errors      int64   `json:"errors"`
 	// MinShare is the smallest per-tenant share of completed jobs; with
 	// k equal-weight tenants a perfectly fair server scores 1/k, and the
 	// SLO gate asserts a floor under it.
@@ -115,7 +129,8 @@ type Report struct {
 
 // worker-local tallies, merged under one mutex at the end of each worker.
 type tally struct {
-	jobs     int64
+	jobs     int64 // done inside the window
+	drained  int64 // done after the deadline
 	mutates  int64
 	rejected int64
 	errors   int64
@@ -162,6 +177,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	}
 	start := time.Now()
 	deadline := start.Add(opts.Duration)
+	var ops atomic.Int64 // run-wide operation counter: the mutation cadence
 	widx := 0
 	for _, t := range tenants {
 		workers := t.Workers
@@ -173,10 +189,11 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 			widx++
 			go func(t Tenant, seed int64) {
 				defer wg.Done()
-				local := runWorker(ctx, client, opts, t, seed, deadline)
+				local := runWorker(ctx, client, opts, t, seed, deadline, &ops)
 				mu.Lock()
 				agg := tallies[t.Name]
 				agg.jobs += local.jobs
+				agg.drained += local.drained
 				agg.mutates += local.mutates
 				agg.rejected += local.rejected
 				agg.errors += local.errors
@@ -186,17 +203,24 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 		}
 	}
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
+	end := time.Now()
+	// The window closes at the deadline, or earlier when ctx cancelled
+	// the run and every worker returned before it.
+	window := deadline
+	if end.Before(deadline) {
+		window = end
+	}
+	windowS := window.Sub(start).Seconds()
 
-	rep := Report{DurationS: elapsed, MinShare: 1}
+	rep := Report{DurationS: windowS, DrainS: end.Sub(window).Seconds(), MinShare: 1}
 	var allLat []float64
 	for _, t := range tenants {
 		agg := tallies[t.Name]
 		tr := TenantReport{
 			Name: t.Name, Workers: t.Workers, Burst: t.Burst,
-			Jobs: agg.jobs, Mutates: agg.mutates,
+			Jobs: agg.jobs, Drained: agg.drained, Mutates: agg.mutates,
 			Rejected: agg.rejected, Errors: agg.errors,
-			JobsPS: float64(agg.jobs) / elapsed,
+			JobsPS: float64(agg.jobs) / windowS,
 			P50ms:  percentile(agg.lat, 50), P99ms: percentile(agg.lat, 99),
 		}
 		if tr.Workers <= 0 {
@@ -204,12 +228,13 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 		}
 		rep.Tenants = append(rep.Tenants, tr)
 		rep.Jobs += agg.jobs
+		rep.DrainedJobs += agg.drained
 		rep.Mutates += agg.mutates
 		rep.Rejected += agg.rejected
 		rep.Errors += agg.errors
 		allLat = append(allLat, agg.lat...)
 	}
-	rep.JobsPS = float64(rep.Jobs) / elapsed
+	rep.JobsPS = float64(rep.Jobs) / windowS
 	rep.P50ms = percentile(allLat, 50)
 	rep.P99ms = percentile(allLat, 99)
 	for i := range rep.Tenants {
@@ -224,8 +249,9 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 }
 
 // runWorker is one closed-loop worker: it keeps Burst operations in
-// flight until the deadline passes.
-func runWorker(ctx context.Context, client *http.Client, opts Options, t Tenant, seed int64, deadline time.Time) *tally {
+// flight until the deadline passes. ops is the run-wide operation
+// counter; every MutateEvery-th operation across all workers mutates.
+func runWorker(ctx context.Context, client *http.Client, opts Options, t Tenant, seed int64, deadline time.Time, ops *atomic.Int64) *tally {
 	rng := rand.New(rand.NewSource(seed))
 	local := &tally{}
 	burst := t.Burst
@@ -233,11 +259,11 @@ func runWorker(ctx context.Context, client *http.Client, opts Options, t Tenant,
 		burst = 1
 	}
 	for op := 0; time.Now().Before(deadline) && ctx.Err() == nil; op++ {
-		if opts.MutateEvery > 0 && op%opts.MutateEvery == opts.MutateEvery-1 {
+		if n := ops.Add(1); opts.MutateEvery > 0 && n%int64(opts.MutateEvery) == 0 {
 			doMutate(ctx, client, opts, t, rng, local)
 			continue
 		}
-		doJobBurst(ctx, client, opts, t, rng, local, op, burst)
+		doJobBurst(ctx, client, opts, t, rng, local, op, burst, deadline)
 	}
 	return local
 }
@@ -257,8 +283,9 @@ func source(opts Options, rng *rand.Rand) uint32 {
 
 // doJobBurst submits up to burst algorithm jobs back-to-back, then polls
 // each to a terminal state; a job's submit-to-done wall time is its
-// recorded latency.
-func doJobBurst(ctx context.Context, client *http.Client, opts Options, t Tenant, rng *rand.Rand, local *tally, op, burst int) {
+// recorded latency. A job first seen done after the deadline is tallied as
+// drained, not as a window completion.
+func doJobBurst(ctx context.Context, client *http.Client, opts Options, t Tenant, rng *rand.Rand, local *tally, op, burst int, deadline time.Time) {
 	type inflight struct {
 		id    string
 		begin time.Time
@@ -276,7 +303,11 @@ func doJobBurst(ctx context.Context, client *http.Client, opts Options, t Tenant
 			continue
 		}
 		if state == "done" {
-			local.jobs++
+			if time.Now().Before(deadline) {
+				local.jobs++
+			} else {
+				local.drained++
+			}
 			local.lat = append(local.lat, float64(time.Since(j.begin).Microseconds())/1000)
 		} else {
 			local.errors++

@@ -49,6 +49,11 @@ const DefaultSegmentBytes = 1 << 20
 // treated as tail corruption, not an allocation request.
 const DefaultMaxFrameBytes = 1 << 22
 
+// ErrFrameTooLarge is returned by Append for a payload above the frame cap.
+// Replay would discard such a frame as corruption, so it is refused up
+// front rather than acknowledged and lost; the log stays healthy.
+var ErrFrameTooLarge = errors.New("wal: frame exceeds the size cap")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a log.
@@ -258,9 +263,13 @@ func (l *Log) Dir() string { return l.dir }
 // Append frames payload and writes it to the active segment. With sync set
 // the frame is fsynced before returning (durability precedes
 // acknowledgement); without it the loss of the frame must cost the caller
-// nothing more than a progress display. After the first failure every call
+// nothing more than a progress display. A payload above MaxFrameBytes is
+// refused with ErrFrameTooLarge. After the first failure every call
 // returns ErrUnavailable.
 func (l *Log) Append(payload []byte, sync bool) error {
+	if len(payload) > l.opt.MaxFrameBytes {
+		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(payload), l.opt.MaxFrameBytes)
+	}
 	frame := make([]byte, 0, 8+len(payload))
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
@@ -349,27 +358,36 @@ func (l *Log) replaySegment(path string) (frames [][]byte, truncated bool, err e
 	if len(data) < len(l.opt.Magic) || string(data[:len(l.opt.Magic)]) != string(l.opt.Magic[:]) {
 		return nil, false, fmt.Errorf("bad segment magic")
 	}
-	data = data[len(l.opt.Magic):]
+	frames, truncated = decodeFrames(data[len(l.opt.Magic):], l.opt.MaxFrameBytes, l.opt.Accept)
+	return frames, truncated, nil
+}
+
+// decodeFrames decodes a segment body (the bytes after the magic header)
+// into payloads, stopping at the first frame that is short, longer than
+// maxFrame, fails its CRC, or is refused by accept (when non-nil).
+// truncated reports whether any bytes after the last good frame were
+// discarded. Payloads are copies, independent of data.
+func decodeFrames(data []byte, maxFrame int, accept func([]byte) bool) (frames [][]byte, truncated bool) {
 	for len(data) > 0 {
 		if len(data) < 8 {
-			return frames, true, nil
+			return frames, true
 		}
 		n := binary.LittleEndian.Uint32(data)
 		want := binary.LittleEndian.Uint32(data[4:])
-		if n > uint32(l.opt.MaxFrameBytes) || int(n) > len(data)-8 {
-			return frames, true, nil
+		if n > uint32(maxFrame) || int(n) > len(data)-8 {
+			return frames, true
 		}
 		payload := data[8 : 8+n]
 		if crc32.Checksum(payload, crcTable) != want {
-			return frames, true, nil
+			return frames, true
 		}
-		if l.opt.Accept != nil && !l.opt.Accept(payload) {
-			return frames, true, nil
+		if accept != nil && !accept(payload) {
+			return frames, true
 		}
 		frames = append(frames, append([]byte(nil), payload...))
 		data = data[8+n:]
 	}
-	return frames, false, nil
+	return frames, false
 }
 
 // ReadAll replays a log directory read-only — no segment is created or

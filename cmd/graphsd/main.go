@@ -210,7 +210,6 @@ func cmdRun(args []string) error {
 	trace := fs.Bool("trace", false, "print the per-iteration scheduler trace")
 	tracePath := fs.String("iotrace", "", "record a JSONL I/O trace to this file")
 	prefetchDepth := fs.Int("prefetch-depth", 0, "I/O pipeline read-ahead depth (0: default, negative: disable)")
-	prefetchBytes := fs.Int64("prefetch-bytes", 0, "I/O pipeline window byte budget (0: default)")
 	ckDir := fs.String("checkpoint", "", "checkpoint directory (enables crash-safe iteration checkpoints)")
 	ckEvery := fs.Int("checkpoint-every", 4, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume from the checkpoint in -checkpoint, if present")
@@ -286,7 +285,6 @@ func cmdRun(args []string) error {
 	opts.AsyncEpsilon = *asyncEps
 	opts.AsyncSeed = *asyncSeed
 	opts.PrefetchDepth = *prefetchDepth
-	opts.PrefetchBytes = *prefetchBytes
 	if (*asyncEps != 0 || *asyncSeed != 0) && !*async {
 		return fmt.Errorf("run: -async-eps and -async-seed require -async")
 	}

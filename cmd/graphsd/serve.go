@@ -56,7 +56,6 @@ func cmdServe(args []string) error {
 	journal := fs.String("journal", "", "durability directory: job journal (WAL) and per-job engine checkpoints; a restarted server replays it and resumes unfinished jobs")
 	jobTimeout := fs.Duration("job-timeout", 0, "server-side running-time bound for jobs that carry no timeout of their own (0: none)")
 	jobRetries := fs.Int("job-retries", 0, "re-run a job up to N extra attempts after transient storage failures")
-	ckEvery := fs.Int("checkpoint-every", 0, "engine checkpoint interval in iterations for -journal jobs (0: every iteration)")
 	ckKeep := fs.Int("checkpoint-keep", 0, "retain the last N terminal jobs' checkpoint directories instead of pruning them")
 	mutable := fs.Bool("mutable", false, "accept edge mutations on every served graph (POST /v1/graphs/{name}/edges; WAL-backed, snapshot-isolated reads)")
 	memtableBytes := fs.Int64("memtable-bytes", 0, "mutation memtable bytes before sealing a delta layer (0: 1 MiB)")
@@ -85,16 +84,15 @@ func cmdServe(args []string) error {
 	}
 
 	cfg := server.Config{
-		Graphs:          graphs,
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		MemBudget:       *memBudget,
-		JournalDir:      *journal,
-		JobTimeout:      *jobTimeout,
-		JobRetries:      *jobRetries,
-		CheckpointEvery: *ckEvery,
-		CheckpointKeep:  *ckKeep,
-		RetainJobs:      *retainJobs,
+		Graphs:         graphs,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		MemBudget:      *memBudget,
+		JournalDir:     *journal,
+		JobTimeout:     *jobTimeout,
+		JobRetries:     *jobRetries,
+		CheckpointKeep: *ckKeep,
+		RetainJobs:     *retainJobs,
 	}
 	if *tenantsFile != "" {
 		ts, err := server.LoadTenantsFile(*tenantsFile)

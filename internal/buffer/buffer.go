@@ -38,7 +38,8 @@ type Stats struct {
 	Insertions int64
 	Evictions  int64
 	Rejections int64
-	// BytesSaved is the total I/O bytes avoided by hits.
+	// BytesSaved sums the decoded sub-block sizes (SubBlockBytes) served
+	// by hits; on a delta-coded layout the device bytes avoided are fewer.
 	BytesSaved int64
 }
 

@@ -12,7 +12,9 @@ import (
 type SharedStats struct {
 	// Hits served a sub-block with zero device I/O in the calling
 	// goroutine — from residency or by a successful dedup wait; BytesSaved
-	// is the on-disk volume those hits avoided re-reading.
+	// sums the decoded sub-block sizes (SubBlockBytes) of those hits, on
+	// either tier. On a delta-coded layout the device bytes avoided are
+	// fewer.
 	Hits       int64
 	BytesSaved int64
 	// Misses triggered a device load (the single flight for the key).
@@ -68,20 +70,18 @@ func (s SharedStats) Add(o SharedStats) SharedStats {
 }
 
 // flight is one in-progress load that late arrivals for the same key wait
-// on instead of duplicating the device read. size is the loaded on-disk
-// size, set before done closes so waiters can account the read they saved.
+// on instead of duplicating the device read. entry and err are set before
+// done closes.
 type flight struct {
-	done    chan struct{}
-	edges   []graph.Edge
-	payload []byte // compressed caches carry the delta payload instead
-	size    int64
-	err     error
+	done  chan struct{}
+	entry sharedEntry
+	err   error
 }
 
 // sharedEntry is one resident sub-block of a Shared cache. Decoded caches
 // set edges; compressed caches set payload. size is the capacity charge
-// (decoded bytes, or encoded bytes for payload entries); saved is the
-// device volume a hit avoids (always decoded bytes, so BytesSaved stays
+// (decoded bytes, or encoded bytes for payload entries); saved is what a
+// hit adds to BytesSaved (always decoded bytes, so BytesSaved stays
 // comparable across tiers).
 type sharedEntry struct {
 	edges   []graph.Edge
@@ -189,11 +189,11 @@ func (s *Shared) Stats() SharedStats {
 }
 
 // GetOrLoad returns the edges for k, loading them through load on a miss.
-// load must return the decoded edges and their cacheable size in bytes (the
-// on-disk size, matching what a hit saves the device). hit reports whether
-// the call was actually served without invoking load in this goroutine —
-// from residency, or by waiting on another caller's in-flight load that
-// succeeded. Successful waits count as Hits/BytesSaved: they saved a device
+// load must return the decoded edges and their decoded size in bytes (the
+// sub-block's SubBlockBytes): the capacity charge, and what a later hit
+// adds to BytesSaved. hit reports whether the call was actually served
+// without invoking load in this goroutine — from residency, or by waiting
+// on another caller's in-flight load that succeeded. Successful waits count as Hits/BytesSaved: they saved a device
 // read just like a resident hit.
 //
 // A failed load is not cached and wakes all waiters with the same error;
@@ -201,47 +201,11 @@ func (s *Shared) Stats() SharedStats {
 // metrics must not count them). Transient device faults stay retriable: the
 // next GetOrLoad for the key starts a fresh flight.
 func (s *Shared) GetOrLoad(k Key, load func() ([]graph.Edge, int64, error)) (edges []graph.Edge, hit bool, err error) {
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		s.clock++
-		e.touch = s.clock
-		s.stats.Hits++
-		s.stats.BytesSaved += e.size
-		s.mu.Unlock()
-		return e.edges, true, nil
-	}
-	if f, ok := s.inflight[k]; ok {
-		s.stats.DedupWaits++
-		s.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			// The flight this caller piggybacked on failed: nothing was
-			// served, so this is not a hit and must not inflate the
-			// hit-derived metrics. The error stays retriable — the next
-			// GetOrLoad starts a fresh flight.
-			return nil, false, f.err
-		}
-		s.mu.Lock()
-		s.stats.Hits++
-		s.stats.BytesSaved += f.size
-		s.mu.Unlock()
-		return f.edges, true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[k] = f
-	s.stats.Misses++
-	s.mu.Unlock()
-
-	f.edges, f.size, f.err = load()
-
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if f.err == nil {
-		s.insert(k, &sharedEntry{edges: f.edges, size: f.size, saved: f.size})
-	}
-	s.mu.Unlock()
-	close(f.done)
-	return f.edges, false, f.err
+	e, hit, err := s.getOrLoad(k, false, func() (sharedEntry, error) {
+		edges, size, err := load()
+		return sharedEntry{edges: edges, size: size, saved: size}, err
+	})
+	return e.edges, hit, err
 }
 
 // GetOrLoadBytes is GetOrLoad for compressed caches: it returns the
@@ -254,45 +218,68 @@ func (s *Shared) GetOrLoad(k Key, load func() ([]graph.Edge, int64, error)) (edg
 // dedup, and failure semantics match GetOrLoad exactly; hits additionally
 // count as CompressedHits.
 func (s *Shared) GetOrLoadBytes(k Key, load func() (payload []byte, decodedSize int64, err error)) (payload []byte, hit bool, err error) {
+	e, hit, err := s.getOrLoad(k, true, func() (sharedEntry, error) {
+		payload, decoded, err := load()
+		return sharedEntry{payload: payload, size: int64(len(payload)), saved: decoded}, err
+	})
+	return e.payload, hit, err
+}
+
+// getOrLoad is the single-flight sequence behind both accessors: serve a
+// resident entry, else wait on the key's in-flight load, else run load
+// as the key's flight and cache its entry. compressed selects whether hits
+// also count as CompressedHits.
+func (s *Shared) getOrLoad(k Key, compressed bool, load func() (sharedEntry, error)) (sharedEntry, bool, error) {
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
 		s.clock++
 		e.touch = s.clock
-		s.stats.Hits++
-		s.stats.CompressedHits++
-		s.stats.BytesSaved += e.saved
+		s.countHit(e.saved, compressed)
+		hit := *e
 		s.mu.Unlock()
-		return e.payload, true, nil
+		return hit, true, nil
 	}
 	if f, ok := s.inflight[k]; ok {
 		s.stats.DedupWaits++
 		s.mu.Unlock()
 		<-f.done
 		if f.err != nil {
-			return nil, false, f.err
+			// The flight this caller piggybacked on failed: nothing was
+			// served, so this is not a hit and must not inflate the
+			// hit-derived metrics. The error stays retriable — the next
+			// call starts a fresh flight.
+			return sharedEntry{}, false, f.err
 		}
 		s.mu.Lock()
-		s.stats.Hits++
-		s.stats.CompressedHits++
-		s.stats.BytesSaved += f.size
+		s.countHit(f.entry.saved, compressed)
 		s.mu.Unlock()
-		return f.payload, true, nil
+		return f.entry, true, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[k] = f
 	s.stats.Misses++
 	s.mu.Unlock()
 
-	f.payload, f.size, f.err = load()
+	f.entry, f.err = load()
 
 	s.mu.Lock()
 	delete(s.inflight, k)
 	if f.err == nil {
-		s.insert(k, &sharedEntry{payload: f.payload, size: int64(len(f.payload)), saved: f.size})
+		e := f.entry
+		s.insert(k, &e)
 	}
 	s.mu.Unlock()
 	close(f.done)
-	return f.payload, false, f.err
+	return f.entry, false, f.err
+}
+
+// countHit records one hit that saved saved bytes. Callers hold s.mu.
+func (s *Shared) countHit(saved int64, compressed bool) {
+	s.stats.Hits++
+	s.stats.BytesSaved += saved
+	if compressed {
+		s.stats.CompressedHits++
+	}
 }
 
 // Peek returns the cached edges for k without touching any counter or the

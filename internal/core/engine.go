@@ -332,7 +332,7 @@ func (e *Engine) run() (*Result, error) {
 		// Feed the measured charge back into the scheduler's calibration
 		// loop. fciu-2 consumes the second half of the previous decision's
 		// pass, so it carries no decision of its own to observe.
-		if path != "fciu-2" && !e.opts.DisableCalibration {
+		if path != "fciu-2" {
 			executed := iosched.FullIO
 			if path == "sciu" {
 				executed = iosched.OnDemandIO

@@ -11,20 +11,18 @@ import (
 type fciuMode int
 
 const (
-	// fciuFirstCells: every cell, column-major; upper-triangle cells are
-	// excluded when they will be streamed in chunks instead.
+	// fciuFirstCells: every cell, column-major.
 	fciuFirstCells fciuMode = iota
 	// fciuSecondCells: secondary cells (i > j) only.
 	fciuSecondCells
-	// fullCells: every cell; all excluded when streaming is configured.
-	// The priority buffer is not consulted in this mode.
+	// fullCells: every cell. The priority buffer is not consulted in this
+	// mode.
 	fullCells
 )
 
 // fciuSource builds the cell plan of one FCIU or full pass and starts its
 // block source. The plan is the non-empty cells in consumption order, minus
-// cells that will be streamed in chunks, secondary cells expected to hit
-// the buffer, and — under SEM — cells of rows the activity bitmap proves
+// secondary cells expected to hit the buffer, and — under SEM — cells of rows the activity bitmap proves
 // dead, which never enqueue a read at all. (A dead-row cell that the
 // cross-iteration phase turns out to need is an unplanned, synchronous
 // get.) Residency is only sampled here — the pipeline's fetch workers never
@@ -48,9 +46,6 @@ func (e *Engine) fciuSource(mode fciuMode) *blockSource[[]graph.Edge] {
 				continue
 			}
 			if e.sem != nil && !e.sem.rowLive(i) {
-				continue
-			}
-			if e.opts.StreamChunkBytes > 0 && (mode == fullCells || (mode == fciuFirstCells && i < j)) {
 				continue
 			}
 			if mode != fullCells && i > j && resident[buffer.Key{I: i, J: j}] {
@@ -165,20 +160,6 @@ func (e *Engine) runFCIUFirst() error {
 					diagDeferred = true
 					continue
 				}
-			}
-			if i < j && e.opts.StreamChunkBytes > 0 {
-				// Upper-triangle cells need no retention: stream them,
-				// applying both the current-iteration update and the
-				// cross-iteration propagation per chunk.
-				err := e.layout.StreamSubBlock(i, j, e.opts.StreamChunkBytes, func(edges []graph.Edge) error {
-					e.scatter(edges, e.valPrev, e.active, e.acc, e.touched, lo, hi)
-					e.scatter(edges, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi)
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				continue
 			}
 			edges, err := e.nextFCIUBlock(src, i, j)
 			if err != nil {
@@ -301,18 +282,8 @@ func (e *Engine) runFullSingle() error {
 			}
 			if e.sem != nil && !e.sem.rowLive(i) {
 				// No cross-iteration work in this pass: a dead row's cells
-				// are skipped outright, streamed or not.
+				// are skipped outright.
 				e.semSkip(i, j)
-				continue
-			}
-			if e.opts.StreamChunkBytes > 0 {
-				err := e.layout.StreamSubBlock(i, j, e.opts.StreamChunkBytes, func(edges []graph.Edge) error {
-					e.scatter(edges, e.valPrev, e.active, e.acc, e.touched, lo, hi)
-					return nil
-				})
-				if err != nil {
-					return err
-				}
 				continue
 			}
 			edges, err := src.get(i, j)

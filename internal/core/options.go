@@ -39,18 +39,6 @@ type Options struct {
 	// BufferPolicy selects the buffer eviction discipline; the zero value
 	// is the paper's priority scheme, FIFOPolicy the naive ablation.
 	BufferPolicy buffer.Policy
-	// SCIUCacheBudget bounds the bytes of active-vertex edges SCIU may
-	// keep resident for cross-iteration propagation. Zero means the
-	// on-demand working set is assumed to fit memory (the paper's
-	// assumption). When the budget is exhausted, further vertices simply
-	// lose the cross-iteration shortcut — correctness is unaffected.
-	SCIUCacheBudget int64
-	// StreamChunkBytes, when positive, streams full-model sub-block reads
-	// in chunks of at most this many bytes instead of loading whole cells,
-	// bounding peak memory at one chunk. Cells that must stay resident
-	// (the diagonal during FCIU, and secondary cells entering the buffer)
-	// are still loaded whole. Traffic is unchanged; only residency drops.
-	StreamChunkBytes int64
 	// PersistValues routes the per-iteration vertex value read and
 	// write-back through a real on-device array (internal/vertexstore)
 	// instead of modelled charges. Same bytes, but the final values are
@@ -61,27 +49,15 @@ type Options struct {
 	// PrefetchDepth is the number of sub-blocks the I/O pipeline may hold
 	// in flight ahead of the consumer (also its fetch concurrency). Zero
 	// selects the default of 4; a negative value disables pipelining and
-	// restores fully synchronous loads. Streamed cells (StreamChunkBytes)
-	// and buffer-resident sub-blocks are never prefetched.
+	// restores fully synchronous loads. Buffer-resident sub-blocks are
+	// never prefetched. The window also holds at most prefetchWindowBytes
+	// of decoded blocks; a single larger block is admitted alone.
 	PrefetchDepth int
-	// PrefetchBytes bounds the decoded bytes held by in-flight and
-	// ready-but-unconsumed prefetches. Zero selects the default of 16 MiB.
-	// A single sub-block larger than the budget is admitted alone, so an
-	// oversized cell degrades to synchronous loading rather than stalling
-	// the pipeline forever.
-	PrefetchBytes int64
 	// OnIteration, when non-nil, is invoked after every logical iteration
 	// with that iteration's statistics — progress reporting for long runs
 	// and for the job server's status endpoint. It runs on the engine
 	// goroutine; keep it cheap.
 	OnIteration func(IterStat)
-	// DisableCalibration turns off the scheduler's prediction-vs-actual
-	// feedback loop: no per-iteration Observe, no EWMA correction of the
-	// cost estimates, no hysteresis. The zero value calibrates — the raw
-	// formulas are systematically biased on real frontiers (non-uniform
-	// per-edge disk bytes, partial block coverage) and the corrections are
-	// what keeps the adaptive engine on the Figure 10 lower envelope.
-	DisableCalibration bool
 	// SEM enables the semi-external-memory fast path. Block-level active
 	// bitmaps let every full-model pass (and its prefetch pipeline) skip
 	// non-empty sub-blocks whose source interval holds no active vertex —
@@ -96,10 +72,10 @@ type Options struct {
 	// and synchronous) through a concurrency-safe cache shared with other
 	// engines on the same layout, deduplicating device reads between
 	// concurrent jobs (single-flight per grid key). Selective SCIU reads
-	// and streamed chunks bypass it. The per-run priority buffer
-	// (BufferBytes) still operates in front of it. A cache built with
-	// buffer.NewSharedCompressed stores delta payloads; the engine decodes
-	// hits in the loading worker and reports the decode time back.
+	// bypass it. The per-run priority buffer (BufferBytes) still operates
+	// in front of it. A cache built with buffer.NewSharedCompressed stores
+	// delta payloads; the engine decodes hits in the loading worker and
+	// reports the decode time back.
 	SharedBlocks *buffer.Shared
 	// Checkpoint configures crash-safe iteration checkpointing and resume.
 	Checkpoint CheckpointOptions
@@ -110,8 +86,8 @@ type Options struct {
 	// non-monotonic programs are rejected at run start. Results reach the
 	// same fixed point as BSP (bit-exact labels for min-programs, within
 	// Program tolerance for PR-Delta) but the iteration trace, paths, and
-	// traffic differ. Incompatible with PersistValues; ForceModel and
-	// StreamChunkBytes are ignored.
+	// traffic differ. Incompatible with PersistValues; ForceModel is
+	// ignored.
 	Async bool
 	// AsyncEpsilon stops an async run once the total pending residual over
 	// active vertices falls to or below it. Zero means run until the
@@ -152,11 +128,12 @@ func (o Options) threads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// defaultPrefetchDepth and defaultPrefetchBytes size the I/O pipeline's
-// read-ahead window when the options leave it unset.
+// defaultPrefetchDepth is the I/O pipeline's read-ahead depth when the
+// options leave it unset; prefetchWindowBytes bounds the decoded bytes held
+// by in-flight and ready-but-unconsumed prefetches.
 const (
 	defaultPrefetchDepth = 4
-	defaultPrefetchBytes = 16 << 20
+	prefetchWindowBytes  = 16 << 20
 )
 
 func (o Options) prefetchEnabled() bool { return o.PrefetchDepth >= 0 }
@@ -166,11 +143,7 @@ func (o Options) prefetchOptions() pipeline.Options {
 	if depth == 0 {
 		depth = defaultPrefetchDepth
 	}
-	bytes := o.PrefetchBytes
-	if bytes == 0 {
-		bytes = defaultPrefetchBytes
-	}
-	return pipeline.Options{Depth: depth, Bytes: bytes}
+	return pipeline.Options{Depth: depth, Bytes: prefetchWindowBytes}
 }
 
 // ForceFull and ForceOnDemand are convenience values for Options.ForceModel.
@@ -223,8 +196,7 @@ type Result struct {
 	// SchedulerOverhead its cumulative cost (Figure 11). SchedAccuracy
 	// summarises the calibration loop's prediction quality: observed
 	// iterations, mean/max/last misprediction ratio and the final EWMA
-	// correction factors (all zero-observation defaults when
-	// Options.DisableCalibration is set).
+	// correction factors.
 	Decisions         []iosched.Decision
 	SchedulerOverhead time.Duration
 	SchedAccuracy     iosched.Accuracy
@@ -314,8 +286,7 @@ type IterStat struct {
 	// Predicted is the scheduler's corrected cost estimate for the executed
 	// model and Mispredict the relative error against IOTime. Both stay zero
 	// for unobserved iterations (fciu-2, which executes the second half of
-	// the previous decision's pass, and all iterations when
-	// Options.DisableCalibration is set).
+	// the previous decision's pass).
 	Predicted  time.Duration
 	Mispredict float64
 }

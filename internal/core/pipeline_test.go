@@ -32,13 +32,12 @@ func TestEnginePrefetchEquivalence(t *testing.T) {
 		"sync":          {PrefetchDepth: -1},
 		"default":       {},
 		"deep":          {PrefetchDepth: 8},
-		"tiny-window":   {PrefetchDepth: 2, PrefetchBytes: 1024},
 		"sync-buffered": {PrefetchDepth: -1, DefaultBuffer: true},
 		"buffered":      {DefaultBuffer: true},
 	}
 	for pname, mk := range testPrograms(0) {
 		var base []float64
-		for _, vname := range []string{"sync", "default", "deep", "tiny-window", "sync-buffered", "buffered"} {
+		for _, vname := range []string{"sync", "default", "deep", "sync-buffered", "buffered"} {
 			opts := variants[vname]
 			layout := buildLayoutProf(t, g, 4, storage.ScaledHDD)
 			res, err := core.Run(layout, mk(), opts)

@@ -123,8 +123,8 @@ func DecodeDeltaRun(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge,
 }
 
 // AppendDeltaRuns decodes consecutive runs until data is exhausted,
-// appending the edges to dst. Used for whole-block and chunked decodes where
-// the byte range is known to cover whole runs.
+// appending the edges to dst. Used for whole-block and per-vertex decodes
+// where the byte range is known to cover whole runs.
 func AppendDeltaRuns(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, error) {
 	for len(data) > 0 {
 		var n int

@@ -128,14 +128,13 @@ type RunInfo struct {
 	ID      string
 	Attempt int
 	// CheckpointDir is the job's private checkpoint directory ("" when
-	// checkpointing is disabled) and CheckpointEvery the iteration interval
-	// to checkpoint at. Resume asks the runner to restore any checkpoint
-	// found there — always true under a CheckpointRoot, because a fresh
-	// job's directory is empty and a recovered or retried job's holds
-	// exactly the state to resume from.
-	CheckpointDir   string
-	CheckpointEvery int
-	Resume          bool
+	// checkpointing is disabled); runners checkpoint there after every
+	// iteration. Resume asks the runner to restore any checkpoint found
+	// there — always true under a CheckpointRoot, because a fresh job's
+	// directory is empty and a recovered or retried job's holds exactly the
+	// state to resume from.
+	CheckpointDir string
+	Resume        bool
 	// OnIteration is invoked after each engine iteration for progress
 	// reporting; implementations must pass it through to
 	// core.Options.OnIteration (or call it themselves).
@@ -195,9 +194,6 @@ type Config struct {
 	// directory <root>/<jobID> wired through RunInfo, and the scheduler
 	// prunes it once the job's terminal record is durably journaled.
 	CheckpointRoot string
-	// CheckpointEvery is the iteration interval passed to runners; zero
-	// with a CheckpointRoot selects 1 (checkpoint every iteration).
-	CheckpointEvery int
 	// CheckpointKeep retains the checkpoint directories of the last N
 	// terminal jobs for debugging instead of pruning them immediately.
 	CheckpointKeep int
@@ -443,9 +439,6 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 10 * time.Millisecond
-	}
-	if cfg.CheckpointRoot != "" && cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
 	}
 	s := &Scheduler{
 		cfg:      cfg,
@@ -1091,8 +1084,7 @@ func (s *Scheduler) runJob(j *Job) {
 // iterations a failed attempt completed are never recomputed.
 func (s *Scheduler) runAttempts(ctx context.Context, j *Job, attempt int) (*core.Result, error) {
 	info := RunInfo{
-		ID:              j.id,
-		CheckpointEvery: s.cfg.CheckpointEvery,
+		ID: j.id,
 		OnIteration: func(st core.IterStat) {
 			j.mu.Lock()
 			j.iterations = st.Index + 1
@@ -1175,8 +1167,11 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	// lock. A worker that dequeues one afterwards sees state != Queued and
 	// skips it; a job the worker moved to Running first is cancelled via
 	// its context like any running job. Either way the outcome is terminal
-	// and journaled — the drain cannot silently drop a queued job.
+	// and journaled — the drain cannot silently drop a queued job. Running
+	// jobs are cancelled only after every queued job is flipped, so a worker
+	// freed by a cancellation finds nothing left to start.
 	now := time.Now()
+	var others []*Job
 	for _, j := range jobs {
 		j.mu.Lock()
 		if j.state == Queued {
@@ -1189,6 +1184,9 @@ func (s *Scheduler) Close(ctx context.Context) error {
 			continue
 		}
 		j.mu.Unlock()
+		others = append(others, j)
+	}
+	for _, j := range others {
 		j.cancel() // running: prompt stop; terminal: no-op
 	}
 	// The cancelled jobs still sit in their tenants' FIFOs; woken workers

@@ -1,114 +1,10 @@
 package partition
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/gen"
-	"github.com/graphsd/graphsd/internal/graph"
-	"github.com/graphsd/graphsd/internal/storage"
 )
-
-func TestStreamSubBlockYieldsAllEdgesInOrder(t *testing.T) {
-	dev := testDevice(t)
-	g, err := gen.RMAT(8, 8, gen.Graph500, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Build(dev, g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := l.LoadSubBlock(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunkBytes := range []int64{1, 8, 100, 1 << 20} {
-		var streamed []graph.Edge
-		err := l.StreamSubBlock(0, 0, chunkBytes, func(edges []graph.Edge) error {
-			streamed = append(streamed, edges...)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunkBytes, err)
-		}
-		if len(streamed) != len(whole) {
-			t.Fatalf("chunk %d: %d edges, want %d", chunkBytes, len(streamed), len(whole))
-		}
-		for k := range whole {
-			if streamed[k] != whole[k] {
-				t.Fatalf("chunk %d: edge %d = %v, want %v", chunkBytes, k, streamed[k], whole[k])
-			}
-		}
-	}
-}
-
-func TestStreamSubBlockEmptyCell(t *testing.T) {
-	dev := testDevice(t)
-	l, err := Build(dev, gen.Chain(16), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	if err := l.StreamSubBlock(0, 3, 64, func([]graph.Edge) error { calls++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatal("empty cell produced chunks")
-	}
-}
-
-func TestStreamSubBlockCallbackErrorAborts(t *testing.T) {
-	dev := testDevice(t)
-	g, err := gen.RMAT(8, 8, gen.Graph500, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Build(dev, g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("stop")
-	calls := 0
-	err = l.StreamSubBlock(0, 0, 16, func([]graph.Edge) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("callback error not propagated: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("continued after error: %d calls", calls)
-	}
-}
-
-func TestStreamSubBlockChunkAccounting(t *testing.T) {
-	dev := testDevice(t)
-	g, err := gen.RMAT(8, 8, gen.Graph500, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Build(dev, g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.ResetStats()
-	if err := l.StreamSubBlock(0, 0, 1024, func([]graph.Edge) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	s := dev.Stats()
-	want := l.Meta.SubBlockBytes(0, 0)
-	if s.ReadBytes() != want {
-		t.Fatalf("streamed %d bytes, cell is %d", s.ReadBytes(), want)
-	}
-	// One positioning access, the rest sequential.
-	if s.Ops[storage.RandRead] != 1 {
-		t.Fatalf("rand ops = %d, want 1", s.Ops[storage.RandRead])
-	}
-	if s.Ops[storage.SeqRead] < 1 {
-		t.Fatal("no sequential chunks")
-	}
-}
 
 func TestLoadRowColMissing(t *testing.T) {
 	dev := testDevice(t)

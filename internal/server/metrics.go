@@ -196,7 +196,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.names {
 		p.Int("graphsd_shared_cache_misses_total", s.graphs[name].shared.Stats().Misses, metrics.L("graph", name))
 	}
-	p.Header("graphsd_shared_cache_bytes_saved_total", "counter", "Device bytes avoided by shared-cache hits.")
+	p.Header("graphsd_shared_cache_bytes_saved_total", "counter", "Decoded sub-block bytes served by shared-cache hits (on a delta-coded layout the device bytes avoided are fewer).")
 	for _, name := range s.names {
 		p.Int("graphsd_shared_cache_bytes_saved_total", s.graphs[name].shared.Stats().BytesSaved, metrics.L("graph", name))
 	}
@@ -212,7 +212,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.names {
 		p.Val("graphsd_shared_cache_decode_seconds_total", s.graphs[name].shared.Stats().DecodeTime.Seconds(), metrics.L("graph", name))
 	}
-	p.Header("graphsd_shared_cache_used_bytes", "gauge", "Decoded bytes resident in the shared cache.")
+	p.Header("graphsd_shared_cache_used_bytes", "gauge", "Bytes resident in the shared cache: decoded edges, or encoded payloads on a compressed cache.")
 	for _, name := range s.names {
 		p.Int("graphsd_shared_cache_used_bytes", s.graphs[name].shared.Used(), metrics.L("graph", name))
 	}
@@ -285,7 +285,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, a := range aggs {
 		p.Int("graphsd_buffer_hits_total", a.buf.Hits, metrics.L("graph", a.name))
 	}
-	p.Header("graphsd_buffer_bytes_saved_total", "counter", "Device bytes avoided by per-run buffer hits, summed over completed jobs.")
+	p.Header("graphsd_buffer_bytes_saved_total", "counter", "Decoded sub-block bytes served by per-run buffer hits, summed over completed jobs.")
 	for _, a := range aggs {
 		p.Int("graphsd_buffer_bytes_saved_total", a.buf.BytesSaved, metrics.L("graph", a.name))
 	}

@@ -99,17 +99,13 @@ type Config struct {
 	// per-job engine checkpoints live under <dir>/checkpoints, and a
 	// restarted server replays the journal — finished jobs stay finished,
 	// unfinished jobs are re-queued and resume from their checkpoints with
-	// results bit-identical to an uninterrupted run. Empty keeps the
-	// pre-durability behaviour (jobs die with the process).
+	// results bit-identical to an uninterrupted run. Journaled jobs
+	// checkpoint after every iteration. Empty keeps the pre-durability
+	// behaviour (jobs die with the process).
 	JournalDir string
-	// JournalSegmentBytes is the WAL rotation threshold (0: 1 MiB).
-	JournalSegmentBytes int64
-	// CheckpointEvery is the per-job engine checkpoint interval in
-	// iterations (0 with a journal: every iteration); CheckpointKeep
-	// retains the last N terminal jobs' checkpoint directories for
-	// debugging instead of pruning them at job completion.
-	CheckpointEvery int
-	CheckpointKeep  int
+	// CheckpointKeep retains the last N terminal jobs' checkpoint
+	// directories for debugging instead of pruning them at job completion.
+	CheckpointKeep int
 	// JobRetries re-runs a job up to N extra attempts when it fails with a
 	// transient storage error; JobTimeout bounds any job's running time
 	// when the request carries no timeout of its own.
@@ -341,14 +337,13 @@ func New(cfg Config) (*Server, error) {
 		RetainJobs:     cfg.RetainJobs,
 	}
 	if cfg.JournalDir != "" {
-		jr, err := jobs.OpenJournal(filepath.Join(cfg.JournalDir, "wal"), cfg.JournalSegmentBytes)
+		jr, err := jobs.OpenJournal(filepath.Join(cfg.JournalDir, "wal"), 0)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.journal = jr
 		jcfg.Journal = jr
 		jcfg.CheckpointRoot = filepath.Join(cfg.JournalDir, "checkpoints")
-		jcfg.CheckpointEvery = cfg.CheckpointEvery
 		jcfg.CheckpointKeep = cfg.CheckpointKeep
 	}
 	s.sched = jobs.New(jcfg)
@@ -497,7 +492,7 @@ func (s *Server) runJob(ctx context.Context, req jobs.Request, info jobs.RunInfo
 	}
 	if info.CheckpointDir != "" {
 		opts.Checkpoint = core.CheckpointOptions{
-			Every:  info.CheckpointEvery,
+			Every:  1,
 			Dir:    info.CheckpointDir,
 			Resume: info.Resume && s.resumableCheckpoint(info.CheckpointDir, prog.Name(), opts.Async, g),
 		}
@@ -615,9 +610,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Meter the batch against the tenant's mutation-bytes budget before
 	// reading it — an over-quota tenant costs the server one header parse,
-	// not a decode of up to 8 MiB.
-	if n := r.ContentLength; n > 0 {
-		if ok, retry := s.admitMutation(r, n); !ok {
+	// not a decode of up to 8 MiB. A metered tenant must declare the
+	// length: a chunked body could not be charged until it was read.
+	if b := s.mutationBucket(r); b.metered() {
+		if r.ContentLength < 0 {
+			writeError(w, http.StatusLengthRequired, "tenant %q has a mutation-bytes quota; send a Content-Length", tenantFrom(r))
+			return
+		}
+		if ok, retry := b.admit(r.ContentLength, time.Now()); !ok {
 			w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds()+0.5)))
 			writeError(w, http.StatusTooManyRequests, "tenant %q over its mutation rate; retry in %v", tenantFrom(r), retry.Round(time.Millisecond))
 			return
@@ -794,7 +794,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		offset = total
 	}
 	end := total
-	if offset+limit < end {
+	if limit < end-offset {
 		end = offset + limit
 	}
 	out := map[string]any{

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -112,6 +113,12 @@ func TestResultStreamPagination(t *testing.T) {
 	}
 	if empty.NextOffset == nil || *empty.NextOffset != 0 {
 		t.Fatalf("limit=0 next_offset: %v", empty.NextOffset)
+	}
+	// Edge: a limit so large that offset+limit overflows is the rest of
+	// the result, not an empty page.
+	code, rest := getFull(t, fmt.Sprintf("%s&offset=1&limit=%d", base, int64(math.MaxInt64)))
+	if code != http.StatusOK || len(rest.Full) != g.NumVertices-1 || rest.Total != g.NumVertices || rest.NextOffset != nil {
+		t.Fatalf("limit=MaxInt64: HTTP %d len=%d total=%d next=%v", code, len(rest.Full), rest.Total, rest.NextOffset)
 	}
 	// Edge: garbage pagination params are a 400, not a panic or a default.
 	for _, q := range []string{"&offset=-1", "&limit=x", "&offset=1e3"} {
@@ -501,6 +508,33 @@ func TestTenantQuotas429(t *testing.T) {
 	}
 }
 
+// TestMutationQuotaRequiresLength: a chunked body has no Content-Length to
+// charge before it is read, so a metered tenant must not be able to use one
+// to slip past its mutation-bytes budget. Unmetered tenants may still send
+// chunked batches.
+func TestMutationQuotaRequiresLength(t *testing.T) {
+	dir, _ := buildLayoutDir(t, 8, 5, 2)
+	_, ts := newTestServer(t, tenantCfg(dir))
+	batch := []byte(`{"mutations":[{"op":"insert","src":1,"dst":2}]}`)
+	chunked := func(token string) *http.Request {
+		req := authedReq(t, "POST", ts.URL+"/v1/graphs/g/edges", token, nil)
+		req.Body = io.NopCloser(bytes.NewReader(batch))
+		req.ContentLength = -1
+		return req
+	}
+	for i := 0; i < 3; i++ {
+		if code := doJSON(t, chunked("tok-alice"), nil); code != http.StatusLengthRequired {
+			t.Fatalf("alice chunked batch %d: HTTP %d, want 411", i, code)
+		}
+	}
+	if code := doJSON(t, authedReq(t, "POST", ts.URL+"/v1/graphs/g/edges", "tok-alice", batch), nil); code != http.StatusOK {
+		t.Fatalf("alice batch with Content-Length: HTTP %d", code)
+	}
+	if code := doJSON(t, chunked("tok-bob"), nil); code != http.StatusOK {
+		t.Fatalf("bob chunked batch: HTTP %d", code)
+	}
+}
+
 // ---------- retention over HTTP (leak bugfix) ----------
 
 func TestRetentionOverHTTP(t *testing.T) {
@@ -605,6 +639,14 @@ func TestListPagination(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/jobs?offset=100", &page); code != http.StatusOK || len(page.Jobs) != 0 || page.Total != 7 {
 		t.Fatalf("offset past end: HTTP %d len=%d total=%d", code, len(page.Jobs), page.Total)
 	}
+	// A limit so large that offset+limit overflows is the rest of the list.
+	var rest struct {
+		Jobs       []jobs.Status `json:"jobs"`
+		NextOffset *int          `json:"next_offset"`
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/v1/jobs?offset=1&limit=%d", ts.URL, int64(math.MaxInt64)), &rest); code != http.StatusOK || len(rest.Jobs) != 6 || rest.NextOffset != nil {
+		t.Fatalf("limit=MaxInt64: HTTP %d len=%d next=%v", code, len(rest.Jobs), rest.NextOffset)
+	}
 	if code := getJSON(t, ts.URL+"/v1/jobs?limit=bogus", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad limit: HTTP %d", code)
 	}
@@ -650,9 +692,9 @@ func TestServeSLO(t *testing.T) {
 		NumVertices:   g.NumVertices,
 		MaxIterations: 10,
 		MutateEvery:   9, MutateBatch: 8,
-		PollInterval:  time.Millisecond,
-		Duration:      3 * time.Second,
-		Seed:          42,
+		PollInterval: time.Millisecond,
+		Duration:     3 * time.Second,
+		Seed:         42,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func newRateBucket(bytesPerSec int64) *rateBucket {
 // admit charges n bytes. When the bucket cannot cover them it charges
 // nothing and returns the wait until it could.
 func (b *rateBucket) admit(n int64, now time.Time) (ok bool, retryAfter time.Duration) {
-	if b == nil || b.rate <= 0 {
+	if !b.metered() {
 		return true, 0
 	}
 	b.mu.Lock()
@@ -174,11 +174,15 @@ func (b *rateBucket) admit(n int64, now time.Time) (ok bool, retryAfter time.Dur
 	return false, wait
 }
 
-// admitMutation applies the request tenant's mutation-bytes budget to a
-// batch of n bytes. True when auth is off or the tenant is unmetered.
-func (s *Server) admitMutation(r *http.Request, n int64) (ok bool, retryAfter time.Duration) {
+// metered reports whether the bucket limits anything: false for a nil
+// bucket and for an unlimited rate.
+func (b *rateBucket) metered() bool { return b != nil && b.rate > 0 }
+
+// mutationBucket returns the request tenant's mutation-bytes bucket; nil
+// when auth is off or the tenant has no budget.
+func (s *Server) mutationBucket(r *http.Request) *rateBucket {
 	if !s.authOn {
-		return true, 0
+		return nil
 	}
-	return s.buckets[tenantFrom(r)].admit(n, time.Now())
+	return s.buckets[tenantFrom(r)]
 }

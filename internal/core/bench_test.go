@@ -3,6 +3,7 @@ package core_test
 import (
 	"encoding/json"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -67,28 +68,32 @@ func BenchmarkEngineBFS(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineThreads measures scatter/apply compute per thread count,
+// with the derived default (Threads 0) beside the fixed counts.
 func BenchmarkEngineThreads(b *testing.B) {
 	g, err := gen.RMAT(13, 16, gen.Graph500, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(benchName(threads), func(b *testing.B) {
+	for _, threads := range []int{0, 1, 2, 4, 8} {
+		name := "threads-auto"
+		if threads > 0 {
+			name = "threads-" + strconv.Itoa(threads)
+		}
+		b.Run(name, func(b *testing.B) {
 			l := benchLayout(b, g, 4)
+			var compute time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(l, &algorithms.PageRank{Iterations: 3}, core.Options{Threads: threads})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.ComputeTime.Microseconds())/1000, "compute-ms")
+				compute += res.ComputeTime
 			}
+			b.ReportMetric(float64(compute.Microseconds())/1000/float64(b.N), "compute-ms")
 		})
 	}
-}
-
-func benchName(threads int) string {
-	return "threads-" + string(rune('0'+threads))
 }
 
 // BenchmarkEnginePrefetch measures the wall-clock effect of the I/O

@@ -33,7 +33,7 @@ func requireIdenticalOutputs(t *testing.T, want, got []float64) {
 	}
 	for v := range want {
 		if math.Float64bits(want[v]) != math.Float64bits(got[v]) {
-			t.Fatalf("vertex %d: output %v differs from fault-free %v", v, got[v], want[v])
+			t.Fatalf("vertex %d: output %v, want bit-identical %v", v, got[v], want[v])
 		}
 	}
 }

@@ -525,7 +525,9 @@ func (e *Engine) applyAll() {
 }
 
 // contrib is one gathered edge contribution staged between the two scatter
-// phases: the destination vertex and its Gather value.
+// phases: the destination vertex and its Gather value. Buckets keep
+// contributions in edge order, which keeps the parallel merge order equal
+// to the serial one.
 type contrib struct {
 	dst uint32
 	g   float64
@@ -541,8 +543,10 @@ type contrib struct {
 // barrier, phase 2 gives each destination range to exactly one worker,
 // which merges its buckets into acc and touched without synchronisation —
 // ranges are disjoint and 64-aligned, so accumulator slots and bitset words
-// are exclusively owned. Merge must be commutative and associative, which
-// makes the merge order irrelevant.
+// are exclusively owned. Phase 1 chunks are contiguous and phase 2 merges
+// each range's buckets in worker order, so every destination receives its
+// contributions in edge order, exactly as in the serial kernel: the result
+// is bit-identical for every thread count.
 func (e *Engine) scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
 	if len(edges) == 0 {
 		return
@@ -552,14 +556,7 @@ func (e *Engine) scatter(edges []graph.Edge, vals []float64, filter *bitset.Acti
 
 	workers := e.opts.threads()
 	if len(edges) < serialScatterThreshold || workers <= 1 {
-		for _, ed := range edges {
-			if !filter.Contains(int(ed.Src)) {
-				continue
-			}
-			g := e.prog.Gather(vals[ed.Src], ed, e.degrees[ed.Src])
-			acc[ed.Dst] = e.prog.Merge(acc[ed.Dst], g)
-			touched.Activate(int(ed.Dst))
-		}
+		scatterSerial(e.prog, e.degrees, edges, vals, filter, acc, touched)
 		return
 	}
 
@@ -618,6 +615,33 @@ func (e *Engine) scatter(edges []graph.Edge, vals []float64, filter *bitset.Acti
 		total += c
 	}
 	touched.AddCount(total)
+}
+
+// scatterSerial is scatter's single-threaded kernel. Sub-blocks are
+// source-sorted, so the filter test, the source value and its degree are
+// looked up once per run of equal sources instead of once per edge. Gather
+// still sees every edge, so weighted programs are unaffected, and any
+// source order stays correct: an unsorted list (an overlay-merged block)
+// only has shorter runs.
+func scatterSerial(prog Program, degrees []uint32, edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet) {
+	if len(edges) == 0 {
+		return
+	}
+	src := edges[0].Src
+	live := filter.Contains(int(src))
+	val, deg := vals[src], degrees[src]
+	for _, ed := range edges {
+		if ed.Src != src {
+			src = ed.Src
+			live = filter.Contains(int(src))
+			val, deg = vals[src], degrees[src]
+		}
+		if !live {
+			continue
+		}
+		acc[ed.Dst] = prog.Merge(acc[ed.Dst], prog.Gather(val, ed, deg))
+		touched.Activate(int(ed.Dst))
+	}
 }
 
 // scatterScratch returns n reusable contribution buckets, each reset to

@@ -44,7 +44,9 @@ type Options struct {
 	// instead of modelled charges. Same bytes, but the final values are
 	// inspectable on the device after the run.
 	PersistValues bool
-	// Threads is the scatter/apply parallelism; 0 means GOMAXPROCS.
+	// Threads is the scatter/apply parallelism; 0 derives it as
+	// GOMAXPROCS−1 (at least 1), leaving one CPU to the prefetch
+	// pipeline's fetch and decode goroutines.
 	Threads int
 	// PrefetchDepth is the number of sub-blocks the I/O pipeline may hold
 	// in flight ahead of the consumer (also its fetch concurrency). Zero
@@ -121,11 +123,16 @@ type CheckpointOptions struct {
 
 func (c CheckpointOptions) saveEnabled() bool { return c.Every > 0 && c.Dir != "" }
 
+// threads returns the scatter/apply worker count. The derived default
+// leaves one CPU to the prefetch pipeline, whose fetch goroutines read and
+// decode the next sub-blocks while scatter runs: on a 2-CPU host the
+// two-phase scatter would otherwise compete with them and run slower than
+// the serial kernel.
 func (o Options) threads() int {
 	if o.Threads > 0 {
 		return o.Threads
 	}
-	return runtime.GOMAXPROCS(0)
+	return max(1, runtime.GOMAXPROCS(0)-1)
 }
 
 // defaultPrefetchDepth is the I/O pipeline's read-ahead depth when the

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -113,8 +114,11 @@ func TestEnginePrefetchErrorMidStream(t *testing.T) {
 
 // TestParallelScatterMatchesSerial stress-tests the lock-free two-phase
 // scatter against the single-threaded path on a graph large enough that
-// every configuration exceeds the serial threshold. Run under -race this
-// doubles as the data-race check for the destination-partitioned merge.
+// every configuration exceeds the serial threshold. Phase 2 merges each
+// destination's contributions in edge order, so the outputs must be
+// bit-identical for every thread count, the derived default (Threads 0)
+// included. Run under -race this doubles as the data-race check for the
+// destination-partitioned merge.
 func TestParallelScatterMatchesSerial(t *testing.T) {
 	g, err := gen.RMAT(12, 12, gen.Graph500, 11)
 	if err != nil {
@@ -126,19 +130,18 @@ func TestParallelScatterMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/serial: %v", pname, err)
 		}
-		for _, threads := range []int{4, 8} {
-			layout := buildLayout(t, g, 2)
-			par, err := core.Run(layout, mk(), core.Options{Threads: threads})
-			if err != nil {
-				t.Fatalf("%s/t%d: %v", pname, threads, err)
-			}
-			// Merge is commutative and associative for every test program,
-			// but float addition picks up reassociation noise — compare
-			// with a tight tolerance rather than bit-exactly.
-			compareOutputs(t, pname+"/threads", par.Outputs, serial.Outputs, 1e-12)
-			if par.Iterations != serial.Iterations {
-				t.Fatalf("%s/t%d: %d iterations, serial %d", pname, threads, par.Iterations, serial.Iterations)
-			}
+		for _, threads := range []int{0, 2, 3, 4, 8} {
+			t.Run(fmt.Sprintf("%s/threads-%d", pname, threads), func(t *testing.T) {
+				layout := buildLayout(t, g, 2)
+				par, err := core.Run(layout, mk(), core.Options{Threads: threads})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalOutputs(t, serial.Outputs, par.Outputs)
+				if par.Iterations != serial.Iterations {
+					t.Fatalf("%d iterations, serial %d", par.Iterations, serial.Iterations)
+				}
+			})
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,19 +56,13 @@ func DecodeEdge(buf []byte, weighted bool) Edge {
 // DecodeEdges decodes all edge records in buf into a slice. It returns an
 // error if buf is not a whole number of records.
 func DecodeEdges(buf []byte, weighted bool) ([]Edge, error) {
-	rec := EdgeBytes
-	if weighted {
-		rec += WeightBytes
-	}
-	if len(buf)%rec != 0 {
-		return nil, fmt.Errorf("graph: %d bytes is not a multiple of record size %d", len(buf), rec)
-	}
-	return AppendEdges(make([]Edge, 0, len(buf)/rec), buf, weighted)
+	return AppendEdges(nil, buf, weighted)
 }
 
 // AppendEdges decodes all edge records in buf, appending them to dst and
-// returning the extended slice. Callers that hold a sized dst (block
-// readers, the I/O pipeline's fetch workers) decode without allocating.
+// returning the extended slice. dst grows at most once, to the record
+// count; callers that hold a sized dst (block readers, the I/O pipeline's
+// fetch workers) decode without allocating.
 func AppendEdges(dst []Edge, buf []byte, weighted bool) ([]Edge, error) {
 	rec := EdgeBytes
 	if weighted {
@@ -76,6 +71,7 @@ func AppendEdges(dst []Edge, buf []byte, weighted bool) ([]Edge, error) {
 	if len(buf)%rec != 0 {
 		return dst, fmt.Errorf("graph: %d bytes is not a multiple of record size %d", len(buf), rec)
 	}
+	dst = slices.Grow(dst, len(buf)/rec)
 	for off := 0; off < len(buf); off += rec {
 		dst = append(dst, DecodeEdge(buf[off:], weighted))
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Delta codec for edge payloads ("delta" in partition manifests). Sub-blocks
@@ -92,10 +93,11 @@ func DecodeDeltaRun(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge,
 		return dst, 0, fmt.Errorf("graph: delta run: bad source varint")
 	}
 	off := k
-	src := uint64(srcBase) + srcRel
-	if src > math.MaxUint32 {
-		return dst, 0, fmt.Errorf("graph: delta run: source %d overflows uint32", src)
+	// Compare before adding: a 10-byte srcRel would wrap the uint64 sum.
+	if srcRel > math.MaxUint32-uint64(srcBase) {
+		return dst, 0, fmt.Errorf("graph: delta run: source %d+%d overflows uint32", srcBase, srcRel)
 	}
+	src := uint64(srcBase) + srcRel
 	runLen, k := binary.Uvarint(data[off:])
 	if k <= 0 {
 		return dst, 0, fmt.Errorf("graph: delta run: bad length varint")
@@ -108,11 +110,20 @@ func DecodeDeltaRun(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge,
 	}
 	prev := int64(dstBase)
 	for i := uint64(0); i < runLen; i++ {
-		gap, k := binary.Varint(data[off:])
-		if k <= 0 {
-			return dst, 0, fmt.Errorf("graph: delta run: bad gap varint at edge %d", i)
+		var gap int64
+		if off < len(data) && data[off] < 0x80 {
+			// One-byte zig-zag gap, the common case in a sorted run.
+			u := int64(data[off])
+			gap = u>>1 ^ -(u & 1)
+			off++
+		} else {
+			var k int
+			gap, k = binary.Varint(data[off:])
+			if k <= 0 {
+				return dst, 0, fmt.Errorf("graph: delta run: bad gap varint at edge %d", i)
+			}
+			off += k
 		}
-		off += k
 		prev += gap
 		if prev < 0 || prev > math.MaxUint32 {
 			return dst, 0, fmt.Errorf("graph: delta run: destination %d out of uint32 range", prev)
@@ -177,6 +188,9 @@ func AppendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weight
 			return dst, fmt.Errorf("graph: delta block: weight column truncated")
 		}
 	}
+	// n is bounded by the payload length above, so a hostile header cannot
+	// force a large allocation; a valid block then decodes without regrowing.
+	dst = slices.Grow(dst, int(n))
 	base := len(dst)
 	body := data[k : len(data)-weightBytes]
 	dst, err := AppendDeltaRuns(dst, body, srcBase, dstBase)

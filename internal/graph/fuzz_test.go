@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -112,4 +114,135 @@ func minSrc(edges []Edge, base VertexID) VertexID {
 		}
 	}
 	return base
+}
+
+// FuzzDeltaRunMatchesReference is a differential test of the delta
+// decoders: DecodeDeltaRun and AppendDeltaBlock must accept and reject
+// exactly the inputs the plain binary.Varint reference decoders below
+// accept and reject, and on accepted inputs produce identical edges and
+// byte counts. The seeds sit on the edges the fast paths special-case:
+// gaps at the 0x7f/0x80 one-byte boundary, 10-byte overlong varints,
+// uint32 overflow of sources and destinations, and truncated runs.
+func FuzzDeltaRunMatchesReference(f *testing.F) {
+	boundary := []Edge{{Src: 2, Dst: 63}, {Src: 2, Dst: 127}, {Src: 2, Dst: 63}, {Src: 2, Dst: 0}, {Src: 2, Dst: 1 << 20}}
+	f.Add(EncodeDeltaBlock(nil, boundary, 0, 0, false), uint32(0), uint32(0), false)
+	f.Add(EncodeDeltaBlock(nil, boundary, 0, 0, true), uint32(0), uint32(0), true)
+	f.Add(EncodeDeltaRun(nil, boundary, 0, 0), uint32(0), uint32(0), false)
+	f.Add([]byte{0, 3, 0x7e, 0x7f, 0x80, 0x01}, uint32(100), uint32(100), false)
+	// 10-byte varints: srcRel 2^64−1 (wraps a uint64 sum), an overlong zero
+	// gap, and an 11-byte gap that binary.Varint rejects.
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 0}, uint32(1), uint32(0), false)
+	f.Add([]byte{0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, uint32(0), uint32(0), false)
+	f.Add([]byte{0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, uint32(0), uint32(0), false)
+	// uint32 overflow of the source and of a destination.
+	f.Add([]byte{1, 1, 0}, ^uint32(0), uint32(0), false)
+	f.Add([]byte{0, 1, 2}, uint32(0), ^uint32(0), false)
+	f.Add([]byte{1, 0, 1, 1}, uint32(0), uint32(0), false)
+	// Truncated runs: too few gaps, and a gap cut mid-varint.
+	f.Add([]byte{3, 0, 3, 2, 2}, uint32(0), uint32(0), false)
+	f.Add([]byte{1, 0, 1, 0x80}, uint32(0), uint32(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, srcBase, dstBase uint32, weighted bool) {
+		sb, db := VertexID(srcBase), VertexID(dstBase)
+		prefix := []Edge{{Src: 7, Dst: 8, Weight: 9}}
+
+		want, wantN, wantOK := refDecodeRun(data, sb, db)
+		got, gotN, err := DecodeDeltaRun(append([]Edge(nil), prefix...), data, sb, db)
+		if (err == nil) != wantOK {
+			t.Fatalf("run: DecodeDeltaRun err=%v, reference accepts=%v", err, wantOK)
+		}
+		if wantOK {
+			if gotN != wantN {
+				t.Fatalf("run: consumed %d bytes, reference %d", gotN, wantN)
+			}
+			requireEdges(t, "run", got, append(append([]Edge(nil), prefix...), want...))
+		}
+
+		want, wantOK = refDecodeBlock(data, sb, db, weighted)
+		got, err = AppendDeltaBlock(append([]Edge(nil), prefix...), data, sb, db, weighted)
+		if (err == nil) != wantOK {
+			t.Fatalf("block: AppendDeltaBlock err=%v, reference accepts=%v", err, wantOK)
+		}
+		if wantOK {
+			requireEdges(t, "block", got, append(append([]Edge(nil), prefix...), want...))
+		}
+	})
+}
+
+func requireEdges(t *testing.T, what string, got, want []Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Src != want[i].Src || got[i].Dst != want[i].Dst ||
+			math.Float32bits(got[i].Weight) != math.Float32bits(want[i].Weight) {
+			t.Fatalf("%s: edge %d = %+v, reference %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// refDecodeRun decodes one run with binary.Uvarint/Varint only, checking
+// every source and destination against the uint32 range in arithmetic that
+// cannot overflow.
+func refDecodeRun(data []byte, srcBase, dstBase VertexID) ([]Edge, int, bool) {
+	srcRel, k := binary.Uvarint(data)
+	if k <= 0 || srcRel > math.MaxUint32 || uint64(srcBase)+srcRel > math.MaxUint32 {
+		return nil, 0, false
+	}
+	off := k
+	runLen, k := binary.Uvarint(data[off:])
+	if k <= 0 {
+		return nil, 0, false
+	}
+	off += k
+	var edges []Edge
+	dst := int64(dstBase)
+	for i := uint64(0); i < runLen; i++ {
+		gap, k := binary.Varint(data[off:])
+		if k <= 0 || gap > math.MaxUint32 || gap < -math.MaxUint32 {
+			return nil, 0, false
+		}
+		off += k
+		dst += gap
+		if dst < 0 || dst > math.MaxUint32 {
+			return nil, 0, false
+		}
+		edges = append(edges, Edge{Src: srcBase + VertexID(srcRel), Dst: VertexID(dst)})
+	}
+	return edges, off, true
+}
+
+// refDecodeBlock decodes a whole block: count header, runs until the body
+// is exhausted, then the weight column.
+func refDecodeBlock(data []byte, srcBase, dstBase VertexID, weighted bool) ([]Edge, bool) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil, false
+	}
+	body := data[k:]
+	if weighted {
+		if n > uint64(len(body))/WeightBytes {
+			return nil, false
+		}
+		body = body[:len(body)-int(n)*WeightBytes]
+	}
+	var edges []Edge
+	for len(body) > 0 {
+		run, used, ok := refDecodeRun(body, srcBase, dstBase)
+		if !ok {
+			return nil, false
+		}
+		edges = append(edges, run...)
+		body = body[used:]
+	}
+	if uint64(len(edges)) != n {
+		return nil, false
+	}
+	if weighted {
+		col := data[len(data)-int(n)*WeightBytes:]
+		for i := range edges {
+			edges[i].Weight = math.Float32frombits(binary.LittleEndian.Uint32(col[i*WeightBytes:]))
+		}
+	}
+	return edges, true
 }
